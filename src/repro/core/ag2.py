@@ -21,8 +21,11 @@ Implementation notes (see DESIGN.md §5):
   *all* cell vertices, not only those touched by pending rectangles —
   the literal pseudocode could under-set ``c.w`` when an untouched
   vertex holds the maximum, and Property 4 must never be violated.
-* Candidate cells are visited in decreasing ``c.w`` order, so the
+* Only cells that pass Rule 1 against the refreshed answer enter the
+  candidate heap; they are visited in decreasing ``c.w`` order, so the
   branch-and-bound loop can stop at the first cell that fails Rule 1.
+  The rest are counted as pruned without being ordered — the answer
+  only grows within a batch, so they would have failed Rule 1 anyway.
 * Optional Algorithm 5 upper-bound tightening (§5.3) plugs in via the
   ``tighten`` argument; it exists for the Table 5 ablation and is off
   by default, matching the paper's conclusion that it does not pay off.
@@ -158,24 +161,32 @@ class AG2Monitor(MaxRSMonitor):
         # "bound" order the first Rule-1 failure prunes the rest, in
         # "arbitrary" order every cell is tested individually
         if self.visit_order == "bound":
-            # a heap beats a full sort here: the typical batch visits a
-            # handful of cells before the first Rule-1 failure prunes
-            # everything else, so most candidates are never popped.
-            # (-cw, rank) pops in the exact order sorted() produced —
-            # rank mirrors the cell dict's insertion order.
+            # Rule-1 pre-filter: only cells with (1-ε)·c.w > ρ enter the
+            # candidate heap.  ρ = s*.w never falls within a batch (s* is
+            # only ever replaced by a heavier vertex), and a cell bound
+            # changes only when its own cell is visited, so a filtered
+            # cell would have been popped after every candidate and
+            # failed Rule 1 there: the visit order and every counter are
+            # those of a heap over all cells.  (-cw, rank) pops in the
+            # order a stable sort over the cell dict produced.
+            star = self._star
+            rho = star.space.weight if star is not None else _NEG_INF
+            relax = 1.0 - self.epsilon
+            start_cell = self._cells[start_key]
             heap = [
                 (-cell.cw, cell.rank, key)
                 for key, cell in self._cells.items()
-                if key != start_key
+                if relax * cell.cw > rho and cell is not start_cell
             ]
+            # the filtered cells, plus every candidate still queued at the
+            # first Rule-1 failure, in one increment after the loop
+            pruned = len(self._cells) - 1 - len(heap)
             heapify(heap)
             while heap:
-                neg_cw, _rank, key = heappop(heap)
+                _neg_cw, _rank, key = heappop(heap)
                 cell = self._cells[key]
                 if not self._may_beat(cell.cw):
-                    pruned = len(heap) + 1
-                    self.stats.cells_pruned += pruned
-                    self.metrics.inc("cells_pruned", pruned)
+                    pruned += len(heap) + 1
                     break
                 self._overlap_computation(cell)
                 if self._may_beat(cell.cw):
@@ -183,6 +194,9 @@ class AG2Monitor(MaxRSMonitor):
                 else:
                     self.stats.cells_pruned += 1
                     self.metrics.inc("cells_pruned")
+            if pruned:
+                self.stats.cells_pruned += pruned
+                self.metrics.inc("cells_pruned", pruned)
             return
         for key in [key for key in self._cells if key != start_key]:
             cell = self._cells[key]
@@ -321,9 +335,21 @@ class AG2Monitor(MaxRSMonitor):
         heuristic: the cell with the largest upper bound."""
         if self._star_cell is not None and self._star_cell in self._cells:
             return self._star_cell
-        return max(
-            (cell.cw, key) for key, cell in self._cells.items()
-        )[1]
+        return self._max_bound_cell()
+
+    def _max_bound_cell(self) -> CellKey:
+        """The key of the largest ``(c.w, key)`` pair, in one pass with
+        no tuple per cell; ties on ``c.w`` go to the larger key, as
+        ``max`` over the pairs would pick."""
+        items = iter(self._cells.items())
+        best_key, cell = next(items)
+        best_cw = cell.cw
+        for key, cell in items:
+            cw = cell.cw
+            if cw > best_cw or (cw == best_cw and key > best_key):
+                best_key = key
+                best_cw = cw
+        return best_key
 
     def _may_beat(self, bound: float) -> bool:
         """Pruning Rule 1 (ε = 0) / Rule 3 (ε > 0): can a cell with this

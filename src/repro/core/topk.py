@@ -124,30 +124,38 @@ class TopKAG2Monitor(AG2Monitor):
             )
         }
         if not priority:
-            priority = {
-                max(self._cells, key=lambda key: (self._cells[key].cw, key))
-            }
+            priority = {self._max_bound_cell()}
         for key in priority:
             cell = self._cells.get(key)
             if cell is None:
                 continue
             self._overlap_computation(cell)
             rho = self._exact_topk(key, rho, candidates)
-        # lines 7-8: branch-and-bound over the remaining cells
+        # lines 7-8: branch-and-bound over the remaining cells.  Only
+        # cells with c.w > ρ are ordered: ρ never falls within a pass
+        # (_exact_topk returns max(ρ, ...)), so a filtered cell would
+        # sort after every candidate and fail the bound test there.
+        # The stable sort keeps the cell dict's order among c.w ties.
+        cells = self._cells
         order = sorted(
-            (key for key in self._cells if key not in priority),
-            key=lambda key: -self._cells[key].cw,
+            (
+                (key, cell)
+                for key, cell in cells.items()
+                if cell.cw > rho and key not in priority
+            ),
+            key=lambda entry: -entry[1].cw,
         )
-        for pos, key in enumerate(order):
-            cell = self._cells[key]
+        pruned = len(cells) - len(priority) - len(order)
+        for pos, (key, cell) in enumerate(order):
             if not cell.cw > rho:
-                self.stats.cells_pruned += len(order) - pos
+                pruned += len(order) - pos
                 break
             self._overlap_computation(cell)
             if cell.cw > rho:
                 rho = self._exact_topk(key, rho, candidates)
             else:
                 self.stats.cells_pruned += 1
+        self.stats.cells_pruned += pruned
         self._answer = self._rank(candidates)
 
     # -- candidate management ----------------------------------------------------------

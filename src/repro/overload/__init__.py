@@ -34,6 +34,7 @@ from repro.overload.controller import (
     AdaptiveMonitor,
     DeadlineController,
     LadderDecision,
+    rung_latency_model,
 )
 from repro.overload.harness import LoadGenerator, OverloadReport, run_overload
 
@@ -48,4 +49,5 @@ __all__ = [
     "OverloadReport",
     "ShedPolicy",
     "run_overload",
+    "rung_latency_model",
 ]

@@ -56,7 +56,31 @@ from repro.overload.breaker import BreakerState, CircuitBreaker
 from repro.resilience.supervisor import MonitorSupervisor
 from repro.window.base import SlidingWindow
 
-__all__ = ["AdaptiveMonitor", "DeadlineController", "LadderDecision"]
+__all__ = [
+    "AdaptiveMonitor",
+    "DeadlineController",
+    "LadderDecision",
+    "rung_latency_model",
+]
+
+LatencyModel = Callable[[int, int], float]
+
+
+def rung_latency_model(unit_ms: float, approx_rungs: int) -> LatencyModel:
+    """A modeled ``(rung, batch_size) -> ms`` update cost.
+
+    Exact work costs ``unit_ms`` per object; approximate rung ``i``
+    (1-based) costs ``1 / (i + 1)`` of that and sampling a tenth.  The
+    shape, not the absolute numbers, is what the controller steers on;
+    feeding it this instead of wall-clock time makes a ladder
+    trajectory the same on every run and host.
+    """
+    discounts = [1.0] + [1.0 / (i + 2) for i in range(approx_rungs)] + [0.1]
+
+    def latency_model(rung: int, batch: int) -> float:
+        return unit_ms * batch * discounts[min(rung, len(discounts) - 1)]
+
+    return latency_model
 
 
 class LadderDecision(enum.Enum):
@@ -252,7 +276,7 @@ class AdaptiveMonitor:
         breaker: CircuitBreaker | None = None,
         probe_every: int = 0,
         max_heals: int | None = None,
-        latency_model: Callable[[int, int], float] | None = None,
+        latency_model: LatencyModel | None = None,
     ) -> None:
         schedule = tuple(float(e) for e in epsilon_schedule)
         if not schedule:

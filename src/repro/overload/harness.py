@@ -22,10 +22,12 @@ then closes the loop with four independent checks:
 The latency budget is auto-calibrated when not given: a handful of
 exact warm-up batches at the base rate measure this machine's exact
 update cost, and the budget is a multiple of that — so the soak tests
-the *control loop*, not the host's absolute speed.  The CLI subcommand
-``maxrs-stream overload`` and the CI overload smoke job are thin
-wrappers over this function; the report is plain data so the soak can
-also be asserted in tests.
+the *control loop*, not the host's absolute speed.  Passing a
+``latency_model`` goes one step further: the ladder is steered by
+modeled update costs, so the whole verdict repeats on any host.  The
+CLI subcommand ``maxrs-stream overload`` and the CI overload smoke job
+are thin wrappers over this function; the report is plain data so the
+soak can also be asserted in tests.
 """
 
 from __future__ import annotations
@@ -39,11 +41,16 @@ from repro.core.planesweep import plane_sweep_max
 from repro.core.spaces import MaxRSResult
 from repro.datasets import make_stream
 from repro.engine.engine import EngineReport, StreamEngine
+from repro.engine.stats import TimingStats
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import Metrics
 from repro.overload.backpressure import BackpressureQueue, ShedPolicy
 from repro.overload.breaker import CircuitBreaker
-from repro.overload.controller import AdaptiveMonitor, DeadlineController
+from repro.overload.controller import (
+    AdaptiveMonitor,
+    DeadlineController,
+    LatencyModel,
+)
 from repro.soak.report import ReportBase
 from repro.window import CountWindow
 
@@ -296,6 +303,7 @@ def run_overload(
     cell_size: float | None = None,
     verify_every: int = 10,
     panic_factor: float = 1.6,
+    latency_model: LatencyModel | None = None,
 ) -> OverloadReport:
     """Run the full overload pipeline and verify the outcome.
 
@@ -312,6 +320,14 @@ def run_overload(
     budget is ``budget_factor`` × their mean.  A burst batch is then
     several budgets worth of exact work, which is exactly the regime
     the ladder exists for.
+
+    With a ``latency_model`` (see
+    :func:`~repro.overload.controller.rung_latency_model`) the ladder is
+    steered by modeled update costs instead of wall-clock time: the
+    calibrated budget is ``budget_factor`` × the modeled exact cost of
+    a base-rate batch, and the report's mean and p95 are over the
+    modeled samples the controller was fed.  The whole report is then
+    the same on every run and host.
     """
     if ticks <= 0:
         raise InvalidParameterError(f"tick count must be positive, got {ticks}")
@@ -347,6 +363,15 @@ def run_overload(
         escalate_after=1,
         panic_factor=panic_factor,
     )
+    # modeled samples the controller is fed, kept for the report
+    modeled = TimingStats()
+
+    def recorded_model(rung: int, batch: int) -> float:
+        assert latency_model is not None
+        ms = float(latency_model(rung, batch))
+        modeled.record(ms / 1000.0)
+        return ms
+
     adaptive = AdaptiveMonitor(
         side,
         side,
@@ -357,6 +382,7 @@ def run_overload(
         seed=seed,
         controller=controller,
         breaker=CircuitBreaker(),
+        latency_model=None if latency_model is None else recorded_model,
     )
     queue = BackpressureQueue(
         capacity, policy=shed_policy, max_batch=max_batch
@@ -379,8 +405,12 @@ def run_overload(
         # cannot live inside
         engine.run(2)
         warmup = engine.run(calibration_batches)
-        anchor_ms = warmup.timings[_MONITOR].percentile(75.0) * 1000.0
+        if latency_model is None:
+            anchor_ms = warmup.timings[_MONITOR].percentile(75.0) * 1000.0
+        else:
+            anchor_ms = float(latency_model(0, rate))
         controller.set_budget(max(budget_factor * anchor_ms, 0.05))
+    modeled.samples.clear()  # the report covers the soak's updates only
 
     checks: Dict[str, Any] = {"performed": 0, "failures": 0, "details": []}
 
@@ -420,12 +450,13 @@ def run_overload(
 
     summary = adaptive.overload_summary()
     overload = report.overload or {}
+    latency = report.timings[_MONITOR] if latency_model is None else modeled
     return OverloadReport(
         engine_report=report,
         budget_ms=controller.budget_ms,
         calibrated=calibrated,
-        mean_ms=report.mean_ms(_MONITOR),
-        p95_ms=report.p95_ms(_MONITOR),
+        mean_ms=latency.mean_ms,
+        p95_ms=latency.percentile(95.0) * 1000.0,
         ledger=dict(overload.get("ledger", {})),
         ledger_closed=bool(overload.get("ledger_closed", False)),
         shed=int(overload.get("shed", 0)),

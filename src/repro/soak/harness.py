@@ -46,7 +46,11 @@ from repro.errors import InvalidParameterError, SnapshotError
 from repro.obs.metrics import Metrics
 from repro.overload.backpressure import BackpressureQueue
 from repro.overload.breaker import CircuitBreaker
-from repro.overload.controller import AdaptiveMonitor, DeadlineController
+from repro.overload.controller import (
+    AdaptiveMonitor,
+    DeadlineController,
+    rung_latency_model,
+)
 from repro.resilience.chaos import FaultInjectingSource
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.guard import ErrorPolicy, IngestGuard
@@ -272,19 +276,9 @@ class _SoakRun:
         self.queue = BackpressureQueue(
             scn.capacity, policy=scn.shed_policy, max_batch=scn.max_batch
         )
-        # rung cost factors for the modeled latency: exact work is the
-        # unit, each approximation rung is proportionally cheaper, and
-        # sampling is an order of magnitude cheaper — the shape (not
-        # the absolute numbers) is what the controller steers on
-        discounts = [1.0] + [
-            1.0 / (i + 2) for i in range(len(scn.epsilons))
-        ] + [0.1]
-        unit = scn.unit_ms
-
-        def latency_model(rung: int, batch: int) -> float:
-            return unit * batch * discounts[min(rung, len(discounts) - 1)]
-
-        self._latency_model = latency_model
+        self._latency_model = rung_latency_model(
+            scn.unit_ms, len(scn.epsilons)
+        )
         self.adaptive = self._make_adaptive()
         self.manager = CheckpointManager(
             self.adaptive,
